@@ -49,9 +49,9 @@ def _angle_complex(numer: int, denom: int) -> complex:
 
 def unit_complex(u: UnitValue) -> complex:
     """Complex embedding of a unit value; the only place angles go inexact."""
-    if u.angle is None:
+    if u.is_zero:
         return 0j
-    return _angle_complex(u.angle.numerator, u.angle.denominator)
+    return _angle_complex(u.k, u.m)
 
 
 @dataclass(frozen=True)
@@ -141,14 +141,14 @@ def dirichlet_series_partial(
     im_terms: list[float] = []
     for n in range(1, N + 1):
         u = f(n)
-        if u.angle is None:
+        if u.is_zero:
             continue
         if real_s:
             mag = n ** -sigma
-            if u.angle == 0:
+            if u.m == 1:
                 re_terms.append(mag)
                 continue
-            if u.angle.denominator == 2:
+            if u.m == 2:
                 re_terms.append(-mag)
                 continue
             c = unit_complex(u) * mag

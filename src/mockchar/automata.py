@@ -48,9 +48,6 @@ class QKernel:
     def size(self) -> int:
         return len(self.representatives)
 
-    def fingerprint_values(self, i: int) -> tuple[UnitValue, ...]:
-        return tuple(self.alphabet[b] for b in self.fingerprints[i])
-
 
 @dataclass(frozen=True)
 class KernelOverflow:

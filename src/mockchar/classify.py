@@ -9,7 +9,7 @@ automaticity from samples is heuristic, and the verdicts say so.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from math import gcd
 from typing import Optional
 
@@ -26,6 +26,10 @@ from .multiplicative import (
     ONE,
     reduce_periodic_cm,
 )
+
+
+# the multiplicativity check needs n <= 4, the period search 1 + 3*1 terms
+MIN_FITTED_LENGTH = 5
 
 
 @dataclass(frozen=True)
@@ -51,21 +55,31 @@ class ClassifyParams:
         return self.max_preperiod + 3 * self.max_period
 
     def fitted_to_length(self, length: int) -> "ClassifyParams":
-        """Shrink the period-search bounds so a length-limited sequence can
-        still be scanned; detection power drops accordingly."""
+        """Shrink the bounds so every check reads only n < length (data on
+        n = 0..length-1); detection power drops accordingly.  Raises
+        ValueError below MIN_FITTED_LENGTH terms, the least the checks need."""
+        if length < MIN_FITTED_LENGTH:
+            raise ValueError(
+                f"sequence known only for n < {length}; classification reads "
+                f"n = 0..{MIN_FITTED_LENGTH - 1}"
+            )
+        last = length - 1
+        fitted = replace(
+            self,
+            multiplicativity_bound=min(self.multiplicativity_bound, last),
+            zero_prime_bound=min(self.zero_prime_bound, last),
+            zero_check_bound=min(self.zero_check_bound, last),
+        )
         if length >= self.prefix_length:
-            return self
-        max_period = max(1, (length - min(self.max_preperiod, length // 4)) // 3)
-        max_preperiod = max(1, length - 3 * max_period)
-        return ClassifyParams(
-            multiplicativity_bound=min(self.multiplicativity_bound, max(4, length - 1)),
-            zero_prime_bound=min(self.zero_prime_bound, max(2, length - 1)),
-            zero_check_bound=min(self.zero_check_bound, max(2, length - 1)),
-            max_preperiod=max_preperiod,
+            return fitted
+        max_period = min(
+            self.max_period, max(1, (length - min(self.max_preperiod, length // 4)) // 3)
+        )
+        return replace(
+            fitted,
+            max_preperiod=max(1, length - 3 * max_period),
             max_period=max_period,
             kernel_window=min(self.kernel_window, max(2, length // 4)),
-            kernel_max_depth=self.kernel_max_depth,
-            kernel_max_size=self.kernel_max_size,
         )
 
 

@@ -1,7 +1,7 @@
 """Completely multiplicative functions valued in zero or roots of unity.
 
 Values are kept exact: a value is either 0 or exp(2*pi*i*k/m) stored as the
-reduced angle fraction k/m.  On top of the value type sit arithmetic
+reduced integer pair (k, m).  On top of the value type sit arithmetic
 functions (evaluatable maps Z -> values), Dirichlet characters with
 validated tables, the paperfolding sequence, the period-reduction algorithm
 for purely periodic completely multiplicative functions, and the
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .kronecker import kronecker
@@ -47,18 +47,26 @@ class EvaluationDomainError(ValueError):
     """An arithmetic function backed by finite data was evaluated outside it."""
 
 
-_HALF = Fraction(1, 2)
-
-
 @dataclass(frozen=True, slots=True)
 class UnitValue:
-    """Zero (angle None) or the root of unity exp(2*pi*i*angle), 0 <= angle < 1."""
+    """Zero (m = 0) or the root of unity exp(2*pi*i*k/m) as a reduced
+    integer pair: 0 <= k < m and gcd(k, m) = 1.
 
-    angle: Fraction | None = None
+    Build values with :meth:`root`, which reduces; the constructor takes the
+    pair as given.
+    """
+
+    k: int = 0
+    m: int = 0
 
     @property
     def is_zero(self) -> bool:
-        return self.angle is None
+        return self.m == 0
+
+    @property
+    def angle(self) -> Fraction | None:
+        """The angle k/m as a fraction in [0, 1), or None for zero."""
+        return Fraction(self.k, self.m) if self.m else None
 
     @staticmethod
     def from_symbol(s: int) -> "UnitValue":
@@ -72,82 +80,74 @@ class UnitValue:
 
     @staticmethod
     def root(k: int, m: int) -> "UnitValue":
-        """exp(2*pi*i*k/m); the angle is reduced and normalized into [0, 1)."""
+        """exp(2*pi*i*k/m); the pair is reduced and k normalized into [0, m)."""
         if m < 1:
             raise ValueError("order m must be >= 1")
-        a = Fraction(k, m) % 1
-        if a == 0:
-            return ONE
-        if a == _HALF:
-            return MINUS_ONE
-        return UnitValue(a)
+        k %= m
+        g = gcd(k, m)
+        return UnitValue(k // g, m // g)
 
     def __mul__(self, other: "UnitValue") -> "UnitValue":
-        if self.angle is None or other.angle is None:
+        m, n = self.m, other.m
+        if not m or not n:
             return ZERO
-        a = self.angle + other.angle
-        if a >= 1:
-            a -= 1
-        if a == 0:
-            return ONE
-        if a == _HALF:
-            return MINUS_ONE
-        return UnitValue(a)
+        if m == 1:
+            return other
+        if n == 1:
+            return self
+        if m == n:
+            k = self.k + other.k
+        else:
+            g = gcd(m, n)
+            k = self.k * (n // g) + other.k * (m // g)
+            m = m // g * n
+        k %= m
+        g = gcd(k, m)
+        return UnitValue(k // g, m // g)
 
     def __pow__(self, e: int) -> "UnitValue":
-        if self.angle is None:
+        if not self.m:
             if e > 0:
                 return ZERO
             if e == 0:
                 return ONE  # empty product
             raise ZeroDivisionError("negative power of zero")
-        return UnitValue.root((self.angle * e).numerator, (self.angle * e).denominator)
+        return UnitValue.root(self.k * e, self.m)
 
     def conjugate(self) -> "UnitValue":
-        if self.angle is None or self.angle == 0:
+        if self.m <= 1:
             return self
-        return UnitValue(1 - self.angle)
+        return UnitValue(self.m - self.k, self.m)
 
     def symbol(self) -> int:
         """The value as an integer in {-1, 0, +1}; raises for other roots."""
-        if self.angle is None:
-            return 0
-        if self.angle == 0:
-            return 1
-        if self.angle == _HALF:
-            return -1
+        if self.m <= 2:
+            return (0, 1, -1)[self.m]
         raise ValueError(f"{self} is not a real symbol")
 
     def real_exact(self) -> Fraction | None:
         """Exact real part when it is rational (orders 1, 2, 3, 4, 6); else None."""
-        if self.angle is None:
-            return Fraction(0)
-        m = self.angle.denominator
-        if m == 1:
-            return Fraction(1)
-        if m == 2:
-            return Fraction(-1)
-        if m == 3:
-            return Fraction(-1, 2)
-        if m == 4:
-            return Fraction(0)
-        if m == 6:
-            return _HALF
-        return None
+        return _RATIONAL_REAL_PARTS.get(self.m)
 
     def __str__(self) -> str:
-        if self.angle is None:
-            return "0"
-        if self.angle == 0:
-            return "1"
-        if self.angle == _HALF:
-            return "-1"
-        return f"e({self.angle.numerator}/{self.angle.denominator})"
+        if self.m <= 2:
+            return ("0", "1", "-1")[self.m]
+        return f"e({self.k}/{self.m})"
 
 
-ZERO = UnitValue(None)
-ONE = UnitValue(Fraction(0))
-MINUS_ONE = UnitValue(_HALF)
+# cos(2*pi*k/m) by order m, for the orders where it is rational
+_RATIONAL_REAL_PARTS = {
+    0: Fraction(0),
+    1: Fraction(1),
+    2: Fraction(-1),
+    3: Fraction(-1, 2),
+    4: Fraction(0),
+    6: Fraction(1, 2),
+}
+
+ZERO = UnitValue(0, 0)
+ONE = UnitValue(0, 1)
+MINUS_ONE = UnitValue(1, 2)
 
 _SYMBOLS = (ZERO, ONE, MINUS_ONE)  # index -1 wraps to MINUS_ONE
 
@@ -243,26 +243,63 @@ def character_from_table(q: int, table: Sequence[UnitValue]) -> DirichletCharact
     """Validate a candidate value table and return the character it defines.
 
     Raises WrongZeroSetError when the zero set is not exactly the non-units
-    mod q, and NotMultiplicativeError (with a witness pair) when the table
-    is not completely multiplicative.
+    mod q, and NotMultiplicativeError (with a witness pair) when chi(1) != 1
+    or chi(g*x) != chi(g) chi(x) for a unit x and a generator g of (Z/q)^*.
+    The units h with chi(h*x) = chi(h) chi(x) for every unit x contain 1 and
+    the generators and are closed under products, so they are the whole
+    group; non-units are covered by the zero set.  Cost: O(q * #generators)
+    integer operations, with at most log2(phi(q)) generators.
     """
     if q < 1:
         raise ValueError("modulus must be >= 1")
     tab = tuple(table)
     if len(tab) != q:
         raise ValueError(f"table must have length {q}, got {len(tab)}")
+    units = []
     for r in range(q):
-        if tab[r].is_zero != (gcd(r, q) != 1):
+        unit = gcd(r, q) == 1
+        if tab[r].is_zero == unit:
             raise WrongZeroSetError(r)
+        if unit:
+            units.append(r)
     one = tab[1 % q]
     if one != ONE:
         raise NotMultiplicativeError((1, 1), f"chi(1) = {one} != 1")
-    for a in range(q):
-        fa = tab[a]
-        for b in range(a, q):
-            if tab[(a * b) % q] != fa * tab[b]:
-                raise NotMultiplicativeError((a, b))
+    # each unit value as an exponent e with value exp(2*pi*i*e/order)
+    order = lcm(*{tab[x].m for x in units})
+    exps = [0] * q
+    for x in units:
+        exps[x] = tab[x].k * (order // tab[x].m)
+    for g in _unit_generators(q, units):
+        eg = exps[g]
+        for x in units:
+            if exps[g * x % q] != (eg + exps[x]) % order:
+                raise NotMultiplicativeError((g, x))
     return DirichletCharacter(q, tab)
+
+
+def _unit_generators(q: int, units: Sequence[int]) -> list[int]:
+    """Generators of (Z/q)^*, picked greedily: the least unit outside the
+    subgroup generated so far, which then grows by the cosets of its powers.
+    Each pick at least doubles the subgroup; no factoring is needed."""
+    member = bytearray(q)
+    member[1 % q] = 1
+    subgroup = [1 % q]
+    gens = []
+    for u in units:
+        if member[u]:
+            continue
+        gens.append(u)
+        grown = list(subgroup)
+        power = u
+        while not member[power]:
+            coset = [power * h % q for h in subgroup]
+            for c in coset:
+                member[c] = 1
+            grown += coset
+            power = power * u % q
+        subgroup = grown
+    return gens
 
 
 def character_from_symbols(q: int, symbols: Sequence[int]) -> DirichletCharacter:
@@ -289,21 +326,27 @@ def reduce_periodic_cm(q: int, table: Sequence[UnitValue]) -> DirichletCharacter
     Repeatedly divides the period: with d the largest divisor of q whose
     table value is nonzero, cancellation of chi(d) shows the function is
     q/d-periodic, so the table can be truncated.  When the scan bottoms out
-    at d = 1 the remaining table is reduced to its least period and handed
-    to the validating constructor.
+    at d = 1 the remaining table is reduced to its least period, its
+    periodic extension is compared with the input on every residue, and it
+    is handed to the validating constructor.  A completely multiplicative
+    table passes all three steps and a table that passes them is completely
+    multiplicative, so any failure is a NotMultiplicativeError.
     """
     if q < 1:
         raise ValueError("period must be >= 1")
     source = tuple(table)
     if len(source) != q:
         raise ValueError(f"table must have length {q}, got {len(source)}")
-    for a in range(q):
-        fa = source[a]
-        for b in range(a, q):
-            if source[(a * b) % q] != fa * source[b]:
-                raise NotMultiplicativeError((a, b))
-    if all(v.is_zero for v in source[1:]) and (q > 1 or source[0].is_zero):
+    if not source[0].is_zero:
+        # f(0) = f(0) f(n) for every n: a nonzero f(0) forces f = 1
+        for n, v in enumerate(source):
+            if v != ONE:
+                raise NotMultiplicativeError((0, n))
+        return DirichletCharacter(1, (ONE,))
+    if all(v.is_zero for v in source):
         raise AllZeroError("table vanishes beyond n = 0")
+    if source[1] != ONE:
+        raise NotMultiplicativeError((1, 1), f"f(1) = {source[1]} != 1")
     tab = source
     while True:
         d = max(div for div in _divisors(q) if not tab[div % q].is_zero)
@@ -315,15 +358,20 @@ def reduce_periodic_cm(q: int, table: Sequence[UnitValue]) -> DirichletCharacter
         if all(tab[i] == tab[i % t] for i in range(q)):
             q, tab = t, tab[:t]
             break
-    chi = character_from_table(q, tab)
-    # the reduction is only sound for genuinely periodic data; re-checking
-    # the periodic extension against the input keeps bad input loud
-    for i in range(1, len(source)):
-        if chi(i) != source[i]:
+    # the reduction is only sound for genuinely periodic data; comparing the
+    # periodic extension against the input keeps bad input loud
+    for i, v in enumerate(source):
+        if tab[i % q] != v:
             raise NotMultiplicativeError(
                 (i, q), f"reduced character disagrees with the table at n = {i}"
             )
-    return chi
+    try:
+        return character_from_table(q, tab)
+    except WrongZeroSetError as exc:
+        raise NotMultiplicativeError(
+            (exc.witness, q),
+            f"reduced table mod {q} has a wrong zero set at n = {exc.witness}",
+        ) from exc
 
 
 def kronecker_character(a: int) -> DirichletCharacter:
@@ -375,7 +423,8 @@ def build_structured(
         while n % p == 0:
             n //= p
             v += 1
-        return sign * xi**v * chi(n)
+        value = sign * chi(n)
+        return xi**v * value if v else value
 
     return ArithmeticFunction(ev, f"structured(xi={xi}, p={p}, chi mod {chi.modulus})")
 

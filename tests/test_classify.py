@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import pytest
 
 from mockchar import (
@@ -21,7 +23,8 @@ from mockchar import (
     period_pattern,
     zero_support_divisor,
 )
-from mockchar.classify import FamilyVerdict
+from mockchar.classify import DEFAULT_PARAMS, MIN_FITTED_LENGTH, FamilyVerdict
+from mockchar.multiplicative import function_from_entries
 
 from conftest import random_cm_pm1
 
@@ -170,6 +173,38 @@ class TestClassify:
         assert j["verdict"] == "mock-character"
         j2 = classify(kronecker_function(2)).to_json_dict()
         assert j2["verdict"] == "dirichlet-character" and j2["modulus"] == 8
+
+
+class TestFittedToLength:
+    @pytest.mark.parametrize(
+        "params",
+        [DEFAULT_PARAMS, ClassifyParams(max_preperiod=1, max_period=1), ClassifyParams(max_period=1)],
+    )
+    def test_every_check_reads_only_the_data(self, params):
+        for length in range(1, 65):
+            if length < MIN_FITTED_LENGTH:
+                with pytest.raises(ValueError, match=f"known only for n < {length};"):
+                    params.fitted_to_length(length)
+                continue
+            fitted = params.fitted_to_length(length)
+            assert all(getattr(fitted, k) <= v for k, v in asdict(params).items())
+            assert fitted.multiplicativity_bound < length
+            assert fitted.zero_prime_bound < length and fitted.zero_check_bound < length
+            assert fitted.prefix_length <= length
+            for a in (-4, 3):
+                data = function_from_entries(
+                    {n: kronecker_function(a)(n) for n in range(length)}, f"kron {a}"
+                )
+                verdict = classify(data, params=fitted)
+                assert "ran out of data" not in getattr(verdict, "reason", ""), (a, length)
+
+    def test_short_file_names_the_real_cause(self):
+        # f(0) = 1 breaks the zero set; the long default bounds used to run
+        # past the data before the zero-set check could say so
+        data = function_from_entries({n: ONE for n in range(8)}, "ones")
+        params = ClassifyParams(max_preperiod=1, max_period=1).fitted_to_length(8)
+        verdict = classify(data, params=params)
+        assert isinstance(verdict, InconsistentVerdict) and verdict.witness == (0,)
 
 
 class TestFamilyVerdict:

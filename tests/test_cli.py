@@ -73,6 +73,13 @@ class TestClassify:
         assert code == 3
         assert json.loads(out)["verdict"] == "inconsistent"
 
+    def test_too_short_file_names_its_length(self, capsys, tmp_path):
+        seq = tmp_path / "short.txt"
+        seq.write_text("0 0\n1 1\n2 -1\n")
+        code, out, err = run(capsys, "classify", "--file", str(seq))
+        assert code == 1 and out == ""
+        assert "known only for n < 3" in err and "ran out of data" not in err
+
     def test_needs_source(self, capsys):
         code, _, err = run(capsys, "classify")
         assert code == 2 and "input source" in err
