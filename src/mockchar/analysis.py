@@ -8,7 +8,10 @@ infinite product and its generalization, and nonzero densities.
 
 Summation discipline: exact rationals while the set of contributing terms
 stays small, otherwise floats combined by fsum over fixed-size chunks so
-results are bit-reproducible.  Conditionally convergent regions
+results are bit-reproducible.  Sums over every n <= N of a Kronecker symbol
+read one row of symbol codes (kronecker.kronecker_row: one scalar symbol
+per prime) and compute each float term exactly as the term-by-term route
+would, so the row changes no output bit.  Conditionally convergent regions
 (Re(s) <= 1) are rejected rather than approximated.
 """
 
@@ -21,8 +24,15 @@ from fractions import Fraction
 from functools import lru_cache
 from math import fsum
 
-from .kronecker import kronecker, primes_up_to
-from .multiplicative import ArithmeticFunction, UnitValue, paperfolding, pointwise_product
+from .kronecker import kronecker, kronecker_row, primes_up_to
+from .multiplicative import (
+    MINUS_ONE,
+    ONE,
+    ArithmeticFunction,
+    UnitValue,
+    paperfolding,
+    pointwise_product,
+)
 
 # Gamma(1/4)**2 / (8*sqrt(2*pi)), the limit of the paperfolding product.
 # Frozen from a 40-digit evaluation; the tests recompute it independently.
@@ -129,13 +139,29 @@ class SeriesValue:
 def dirichlet_series_partial(
     f: ArithmeticFunction, s: complex, N: int
 ) -> SeriesValue:
-    """sum_{n=1}^{N} f(n) / n^s for Re(s) > 1."""
+    """sum_{n=1}^{N} f(n) / n^s for Re(s) > 1.
+
+    A function with a row producer (see ArithmeticFunction) is read from one
+    row of symbol codes; any other is evaluated once per n.  Both routes add
+    the same floats in the same order.
+    """
     s = complex(s)
     sigma = s.real
     if sigma <= 1:
         raise ValueError("absolutely convergent region only: need Re(s) > 1")
     if N < 1:
         raise ValueError("truncation must be >= 1")
+    if f.row is not None:
+        re_terms, im_terms = _row_terms(f.row(N), s)
+    else:
+        re_terms, im_terms = _scalar_terms(f, s, N)
+    partial = complex(_chunked_fsum(re_terms), _chunked_fsum(im_terms))
+    tail = N ** (1 - sigma) / (sigma - 1)
+    return SeriesValue(s, N, partial, tail)
+
+
+def _scalar_terms(f: ArithmeticFunction, s: complex, N: int) -> tuple[list[float], list[float]]:
+    sigma = s.real
     real_s = s.imag == 0
     re_terms: list[float] = []
     im_terms: list[float] = []
@@ -156,9 +182,30 @@ def dirichlet_series_partial(
             c = unit_complex(u) * cmath.exp(-s * math.log(n))
         re_terms.append(c.real)
         im_terms.append(c.imag)
-    partial = complex(_chunked_fsum(re_terms), _chunked_fsum(im_terms))
-    tail = N ** (1 - sigma) / (sigma - 1)
-    return SeriesValue(s, N, partial, tail)
+    return re_terms, im_terms
+
+
+def _row_terms(row: bytearray, s: complex) -> tuple[list[float], list[float]]:
+    """The terms _scalar_terms makes, for the symbol codes row[n] (0, 1, 2
+    for 0, +1, -1): -1 terms of a complex s keep the factor unit_complex(-1),
+    which is not exactly -1."""
+    codes = enumerate(row[1:], 1)
+    if s.imag == 0:
+        neg = -s.real
+        return [n ** neg if c == 1 else -(n ** neg) for n, c in codes if c], []
+    units = (0j, unit_complex(ONE), unit_complex(MINUS_ONE))
+    terms = [units[c] * cmath.exp(-s * math.log(n)) for n, c in codes if c]
+    return [t.real for t in terms], [t.imag for t in terms]
+
+
+_CODE_SYMBOL = (0, 1, -1)
+
+
+def _row_function(row: bytearray, label: str) -> ArithmeticFunction:
+    """The symbol function given by its codes row[n], n < len(row)."""
+    return ArithmeticFunction(
+        lambda n: UnitValue.from_symbol(_CODE_SYMBOL[row[n]]), label, lambda N: row[: N + 1]
+    )
 
 
 @dataclass(frozen=True)
@@ -185,13 +232,13 @@ def l_identity_residual(a: int, s: complex, N: int) -> LIdentityResult:
     s = complex(s)
     if s.real <= 1:
         raise ValueError("need Re(s) > 1")
-    kron_a = ArithmeticFunction(
-        lambda n: UnitValue.from_symbol(kronecker(a, n)), f"kron({a})"
-    )
-    odd_part = ArithmeticFunction(
-        lambda n: UnitValue.from_symbol(kronecker(a, n) if n % 2 else 0),
-        f"odd-part chi of kron({a})",
-    )
+    if N < 1:
+        raise ValueError("truncation must be >= 1")
+    row = kronecker_row(a, N)
+    odd = row[:]
+    odd[2::2] = bytes(N // 2)
+    kron_a = _row_function(row, f"kron({a})")
+    odd_part = _row_function(odd, f"odd-part chi of kron({a})")
     la = dirichlet_series_partial(kron_a, s, N)
     lchi = dirichlet_series_partial(odd_part, s, N)
     k2 = kronecker(a, 2)
@@ -231,22 +278,23 @@ def general_product_residual(a: int, N: int) -> float:
     if a % 4 != 3:
         raise ValueError(f"a = {a} is not 3 mod 4")
     alpha = -1 if ((a * a - 1) // 8) % 2 else 1
+    row = kronecker_row(a, 2 * max(N, 0) + 1)
     lhs_logs = []
     rhs_logs = [-alpha * math.log(2)]
+    # each log is taken once: log(n + 1) and log(2n + 2) return at step n + 1
+    # as log(n) and log(2n)
+    log_n, log_2n = 0.0, math.log(2)
     for n in range(1, N + 1):
-        kn1 = kronecker(a, n + 1)
+        log_n1, log_2n1, log_2n2 = math.log(n + 1), math.log(2 * n + 1), math.log(2 * n + 2)
+        kn1 = row[n + 1]
         if kn1:
             lhs_logs.append(
-                kn1
-                * (
-                    math.log(n)
-                    - math.log(n + 1)
-                    + alpha * (math.log(2 * n + 2) - math.log(2 * n + 1))
-                )
+                _CODE_SYMBOL[kn1] * (log_n - log_n1 + alpha * (log_2n2 - log_2n1))
             )
-        kodd = kronecker(a, 2 * n + 1)
+        kodd = row[2 * n + 1]
         if kodd:
-            rhs_logs.append(kodd * (math.log(2 * n) - math.log(2 * n + 1)))
+            rhs_logs.append(_CODE_SYMBOL[kodd] * (log_2n - log_2n1))
+        log_n, log_2n = log_n1, log_2n2
     return abs(math.exp(_chunked_fsum(lhs_logs)) - math.exp(_chunked_fsum(rhs_logs)))
 
 

@@ -14,11 +14,10 @@ automaton against the source sequence.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
-
-import numpy as np
 
 from .multiplicative import ArithmeticFunction, EvaluationDomainError, UnitValue
 
@@ -223,28 +222,27 @@ def detect_eventual_period(
 
     The prefix must have length >= max_preperiod + 3*max_period so every
     candidate period is verified on at least two full repetitions past the
-    preperiod.  Candidate periods are scanned ascending; for each, the
-    minimal preperiod is located from the last self-mismatch at that lag.
+    preperiod.  Candidate periods are scanned ascending; a period tau fits
+    when the prefix agrees with its shift by tau from max_preperiod on (one
+    C-level slice comparison), and the minimal preperiod is then found by
+    walking back from max_preperiod to the last self-mismatch at that lag.
     """
     if max_preperiod < 0 or max_period < 1:
         raise ValueError("bounds must satisfy max_preperiod >= 0, max_period >= 1")
     L = len(prefix)
-    need = max_preperiod + 3 * max_period
+    P = max_preperiod
+    need = P + 3 * max_period
     if L < need:
         raise PrefixTooShortError(f"prefix length {L} < {need} required by the bounds")
     codes: dict[Hashable, int] = {}
-    arr = np.empty(L, dtype=np.int32)
-    for i, v in enumerate(prefix):
-        c = codes.get(v)
-        if c is None:
-            c = len(codes)
-            codes[v] = c
-        arr[i] = c
+    arr = array("l", [codes.setdefault(v, len(codes)) for v in prefix])
     for tau in range(1, max_period + 1):
-        mism = np.nonzero(arr[tau:] != arr[:-tau])[0]
-        rho = 0 if mism.size == 0 else int(mism[-1]) + 1
-        if rho <= max_preperiod:
-            return Periodic(rho, tau)
+        if arr[P + tau :] != arr[P : L - tau]:
+            continue
+        rho = P
+        while rho and arr[rho - 1] == arr[rho - 1 + tau]:
+            rho -= 1
+        return Periodic(rho, tau)
     return NotDetected(max_preperiod, max_period)
 
 

@@ -18,7 +18,7 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-from . import analysis, automata, bfile, gf4
+from . import analysis, automata, bfile, gf4, multiplicative
 from .classify import classify as run_classification
 from .config import CONFIG_ENV_VAR, RunConfig, load_config
 from .kronecker import kronecker
@@ -244,7 +244,10 @@ def cmd_lseries(args, cfg: RunConfig) -> int:
                 f"({'ok' if r.residual <= r.tail_bound else 'EXCEEDED'})"
             )
         return 0
-    f = kronecker_function(args.a)
+    # Through the module attribute: perfbench's tracer rebuilds what the
+    # name bound here returns from (fn, label) alone, dropping the row
+    # producer the series reads, and traced runs must take the same route.
+    f = multiplicative.kronecker_function(args.a)
     rows = []
     for n in ns:
         sv = analysis.dirichlet_series_partial(f, s, n)
@@ -281,13 +284,14 @@ def cmd_f4check(args, cfg: RunConfig) -> int:
         if args.all_embeddings
         else (gf4.DEFAULT_EMBEDDING,)
     )
+    row = gf4.symbol_row(args.a, args.N)
     failures = []
     for emb in embs:
-        idx = gf4.verify_functional_equation(args.a, emb, args.N)
+        idx = gf4.verify_functional_equation(args.a, emb, args.N, row)
         if idx is not None:
             failures.append((emb, idx))
     witness = gf4.coefficient_period_witness(
-        gf4.build_R(args.a, gf4.DEFAULT_EMBEDDING, args.N)
+        gf4.build_R(args.a, gf4.DEFAULT_EMBEDDING, args.N, row)
     )
     payload = {
         "schema": SCHEMA,

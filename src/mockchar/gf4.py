@@ -9,16 +9,21 @@ field, the series G(X) = sum f((a|n)) X**n satisfies G**4 + G + R = 0 where
 R keeps only the exponents not divisible by 4.  This drives the
 algebraicity of G; the computable witnesses shipped here are the identity
 itself and the eventual periodicity of R's coefficients.
+
+The coefficients come from one row of symbol codes per (a, N)
+(:func:`symbol_row`, built by complete multiplicativity in
+:func:`kronecker_row`); an embedding maps the row to coefficients with one
+byte translation, so checking all six zero-preserving embeddings evaluates
+the symbols once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable
 
 from .automata import PeriodVerdict, detect_eventual_period
-from .kronecker import kronecker
+from .kronecker import kronecker_row
 
 F4Element = int  # 0, 1, 2 (= w), 3 (= w+1)
 
@@ -61,7 +66,7 @@ class F4Series:
     def __post_init__(self):
         if len(self.coeffs) != self.truncation:
             raise ValueError("coefficient count must equal the truncation")
-        if any(c > 3 for c in self.coeffs):
+        if max(self.coeffs, default=0) > 3:
             raise ValueError("coefficients must be field elements 0..3")
 
     def __add__(self, other: "F4Series") -> "F4Series":
@@ -78,40 +83,12 @@ class F4Series:
         return not any(self.coeffs)
 
 
-def series_from_coeffs(coeffs: Iterable[F4Element], truncation: int) -> F4Series:
-    buf = bytearray(truncation)
-    for i, c in enumerate(coeffs):
-        if i >= truncation:
-            break
-        buf[i] = c
-    return F4Series(truncation, bytes(buf))
-
-
-def series_mul(a: F4Series, b: F4Series) -> F4Series:
-    """Schoolbook product, truncated; quadratic, used as the pow4 oracle."""
-    if a.truncation != b.truncation:
-        raise ValueError("truncations differ")
-    N = a.truncation
-    out = bytearray(N)
-    for i, ca in enumerate(a.coeffs):
-        if not ca:
-            continue
-        row = _MUL[ca]
-        for j in range(N - i):
-            cb = b.coeffs[j]
-            if cb:
-                out[i + j] ^= row[cb]
-    return F4Series(N, bytes(out))
-
-
 def series_pow4(g: F4Series) -> F4Series:
     """Fourth power using the Frobenius: in characteristic 2 with x**4 = x,
     (sum c_n X**n)**4 = sum c_n X**(4n)."""
     N = g.truncation
     out = bytearray(N)
-    for n in range((N + 3) // 4):
-        if 4 * n < N:
-            out[4 * n] = g.coeffs[n]
+    out[::4] = g.coeffs[: len(range(0, N, 4))]
     return F4Series(N, bytes(out))
 
 
@@ -162,36 +139,57 @@ def _require_3mod4(a: int) -> None:
         raise ValueError(f"a = {a} is not 3 mod 4")
 
 
-def build_G(a: int, emb: SymbolEmbedding, N: int) -> F4Series:
-    """G(X) = sum_{n>=0} f((a|n)) X**n mod X**N."""
+def symbol_row(a: int, N: int) -> bytearray:
+    """Codes of (a|n) for 0 <= n < N (0, 1, 2 for 0, +1, -1), from
+    :func:`kronecker_row`.  G and R under every embedding read this one row."""
     _require_3mod4(a)
-    table = {0: emb.zero, 1: emb.plus, -1: emb.minus}
-    return F4Series(N, bytes(table[kronecker(a, n)] for n in range(N)))
+    if N < 0:
+        raise ValueError("coefficient count must equal the truncation")
+    return kronecker_row(a, N - 1) if N else bytearray()
 
 
-def build_R(a: int, emb: SymbolEmbedding, N: int) -> F4Series:
+def _embedded(a: int, emb: SymbolEmbedding, N: int, row: bytearray | None) -> bytearray:
+    _require_3mod4(a)
+    if row is None:
+        row = symbol_row(a, N)
+    table = bytes((emb.zero, emb.plus, emb.minus)).ljust(256, b"\0")
+    return row[:N].translate(table)
+
+
+def build_G(a: int, emb: SymbolEmbedding, N: int, row: bytearray | None = None) -> F4Series:
+    """G(X) = sum_{n>=0} f((a|n)) X**n mod X**N.
+
+    `row` is ``symbol_row(a, N)`` when the caller already holds it."""
+    return F4Series(N, bytes(_embedded(a, emb, N, row)))
+
+
+def build_R(a: int, emb: SymbolEmbedding, N: int, row: bytearray | None = None) -> F4Series:
     """R(X) = sum over n >= 0 with 4 not dividing n of f((a|n)) X**n."""
-    _require_3mod4(a)
-    table = {0: emb.zero, 1: emb.plus, -1: emb.minus}
-    return F4Series(
-        N, bytes(0 if n % 4 == 0 else table[kronecker(a, n)] for n in range(N))
-    )
+    coeffs = _embedded(a, emb, N, row)
+    coeffs[::4] = bytes(len(range(0, N, 4)))
+    return F4Series(N, bytes(coeffs))
 
 
 def verify_functional_equation(
-    a: int, emb: SymbolEmbedding, N: int
+    a: int, emb: SymbolEmbedding, N: int, row: bytearray | None = None
 ) -> int | None:
     """Checks G**4 + G + R = 0 coefficientwise mod X**N.
 
     Returns None on success, else the first index where the sum is nonzero.
+    The three series are added as little-endian integers, one byte per
+    coefficient, so XOR adds every coefficient at once and the lowest set
+    bit of the sum names the first failing index.
     """
-    g = build_G(a, emb, N)
-    r = build_R(a, emb, N)
-    g4 = series_pow4(g)
-    for i in range(N):
-        if g4.coeffs[i] ^ g.coeffs[i] ^ r.coeffs[i]:
-            return i
-    return None
+    if row is None:
+        row = symbol_row(a, N)
+    g = build_G(a, emb, N, row)
+    r = build_R(a, emb, N, row)
+    total = 0
+    for series in (series_pow4(g), g, r):
+        total ^= int.from_bytes(series.coeffs, "little")
+    if not total:
+        return None
+    return ((total & -total).bit_length() - 1) // 8
 
 
 def coefficient_period_witness(
@@ -200,25 +198,3 @@ def coefficient_period_witness(
     """Eventual-periodicity verdict on the coefficient sequence; a detected
     period witnesses rationality of the series."""
     return detect_eventual_period(list(series.coeffs), max_preperiod, max_period)
-
-
-def series_to_hex(series: F4Series) -> str:
-    """Hex dump, two coefficients per digit: coefficient 2i in the low two
-    bits of digit i, coefficient 2i+1 in the high two bits."""
-    cs = series.coeffs
-    digits = []
-    for i in range(0, len(cs), 2):
-        lo = cs[i]
-        hi = cs[i + 1] if i + 1 < len(cs) else 0
-        digits.append(format(lo | (hi << 2), "x"))
-    return "".join(digits)
-
-
-def series_from_hex(text: str, truncation: int) -> F4Series:
-    """Inverse of :func:`series_to_hex` (padding coefficients dropped)."""
-    coeffs = bytearray()
-    for ch in text:
-        v = int(ch, 16)
-        coeffs.append(v & 3)
-        coeffs.append((v >> 2) & 3)
-    return F4Series(truncation, bytes(coeffs[:truncation]))

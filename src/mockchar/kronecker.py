@@ -9,6 +9,9 @@ completely multiplicative.
 Two independent evaluation routes are provided: :func:`kronecker` (fast
 binary reduction, the workhorse) and :func:`kronecker_factored` (the
 transparent product over the factorization of n, used as a cross-check).
+Dense rows (a|0), ..., (a|N), which the series and power-series identities
+sum over, come from :func:`kronecker_row`: one :func:`kronecker` call per
+prime p <= N, spread to the rest of the row by complete multiplicativity.
 """
 
 from __future__ import annotations
@@ -208,3 +211,40 @@ def kronecker_factored(a: int, n: int, sieve_limit: int = DEFAULT_SIEVE_LIMIT) -
         if s < 0 and e & 1:
             res = -res
     return res
+
+
+# symbol codes of kronecker_row: 0, 1, 2 stand for 0, +1, -1
+_NEGATE = bytes.maketrans(b"\x01\x02", b"\x02\x01")
+
+
+def kronecker_row(a: int, N: int) -> bytearray:
+    """Codes of (a|n) for n = 0..N: 0, 1, 2 for the values 0, +1, -1.
+
+    Sieves the primes p <= N and calls :func:`kronecker` once per prime;
+    complete multiplicativity in n gives every other entry.  (a|p) = 0
+    zeroes the multiples of p; (a|p) = -1 flips the sign of the multiples of
+    each power p**e <= N, so n is flipped v_p(n) times.  No periodic table
+    is tiled: for a = 3 mod 4 the row is not periodic.  Costs
+    O(N log log N) byte operations, most of them in slice translations.
+    """
+    if N < 0:
+        raise ValueError("row length must be >= 0")
+    if a == 0:
+        return bytearray(N + 1)  # (0|n) = 0, even at n = 1
+    row = bytearray([1]) * (N + 1)
+    row[0] = kronecker(a, 0) % 3
+    composite = bytearray(N + 1)
+    p = composite.find(0, 2)
+    while p != -1:
+        if p * p <= N:
+            composite[p * p :: p] = b"\x01" * len(range(p * p, N + 1, p))
+        v = kronecker(a, p)
+        if v == 0:
+            row[p::p] = bytes(len(range(p, N + 1, p)))
+        elif v < 0:
+            q = p
+            while q <= N:
+                row[q::q] = row[q::q].translate(_NEGATE)
+                q *= p
+        p = composite.find(0, p + 1)
+    return row

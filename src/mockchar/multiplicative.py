@@ -11,12 +11,13 @@ build/decompose pair for the structured form
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .kronecker import kronecker
+from .kronecker import kronecker, kronecker_row
 
 
 class CharacterError(ValueError):
@@ -154,10 +155,16 @@ _SYMBOLS = (ZERO, ONE, MINUS_ONE)  # index -1 wraps to MINUS_ONE
 
 @dataclass(frozen=True)
 class ArithmeticFunction:
-    """A deterministic evaluatable map from the integers to unit values."""
+    """A deterministic evaluatable map from the integers to unit values.
+
+    `row`, when set, maps N to the codes of f(0), ..., f(N) in one pass
+    (0, 1, 2 for 0, +1, -1, as :func:`kronecker_row` returns them); sums
+    over a dense range of n read it instead of calling f once per term.
+    """
 
     fn: Callable[[int], UnitValue]
     label: str = ""
+    row: Callable[[int], bytearray] | None = field(default=None, compare=False)
 
     def __call__(self, n: int) -> UnitValue:
         return self.fn(n)
@@ -187,7 +194,7 @@ def kronecker_function(a: int) -> ArithmeticFunction:
     def ev(n: int) -> UnitValue:
         return _SYMBOLS[kronecker(a, n)]
 
-    return ArithmeticFunction(ev, f"kron({a})")
+    return ArithmeticFunction(ev, f"kron({a})", partial(kronecker_row, a))
 
 
 def pointwise_product(f: ArithmeticFunction, g: ArithmeticFunction) -> ArithmeticFunction:

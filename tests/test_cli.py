@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from mockchar.bfile import load_fixture, serialize_bfile
 from mockchar.cli import main
 
@@ -180,6 +182,36 @@ class TestNumericCommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["identity_holds"] is True and payload["r_period"] == 24
+
+
+# (argv, exit code, stdout, stderr) of the series commands at the edges of
+# their inputs; a, N and s are checked before any symbol row is built
+EDGE_CASES = [
+    (["f4check", "--a", "5"], 1, "", "mockchar: a = 5 is not 3 mod 4\n"),
+    (["f4check", "--a", "3", "--N", "-1"], 1, "",
+     "mockchar: coefficient count must equal the truncation\n"),
+    (["f4check", "--a", "3", "--N", "0"], 1, "",
+     "mockchar: prefix length 0 < 3328 required by the bounds\n"),
+    (["f4check", "--a", "3", "--N", "1"], 1, "",
+     "mockchar: prefix length 1 < 3328 required by the bounds\n"),
+    (["lseries", "--a", "3", "--N", "0"], 1, "", "mockchar: truncation must be >= 1\n"),
+    (["lseries", "--a", "3", "--s", "1"], 1, "",
+     "mockchar: absolutely convergent region only: need Re(s) > 1\n"),
+    (["lseries", "--a", "0", "--N", "1000"], 0, "0 (tail bound 1.000e-03)\n", ""),
+    (["lseries", "--a", "3", "--N", "10,100,1000"], 0,
+     "10 0.7464668367346938 0.0 0.1\n"
+     "100 0.7599307924029445 0.0 0.01\n"
+     "1000 0.7597667785425892 0.0 0.001\n", ""),
+    (["lseries", "--a", "5", "--identity"], 1, "", "mockchar: a = 5 is not 3 mod 4\n"),
+    (["lseries", "--a", "3", "--identity", "--N", "1"], 0,
+     "residual 2.000e-01 tail bound 1.800e+00 (ok)\n", ""),
+    (["product", "--a", "5"], 1, "", "mockchar: a = 5 is not 3 mod 4\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", EDGE_CASES, ids=[" ".join(c[0]) for c in EDGE_CASES])
+def test_series_command_edges(capsys, argv, code, out, err):
+    assert run(capsys, *argv) == (code, out, err)
 
 
 class TestConfig:

@@ -20,13 +20,10 @@ from mockchar.gf4 import (
     F4Series,
     SymbolEmbedding,
     all_embeddings,
-    series_from_coeffs,
-    series_from_hex,
-    series_mul,
     series_pow4,
-    series_to_hex,
     zero_preserving_embeddings,
 )
+from oracles import series_from_coeffs, series_from_hex, series_mul, series_to_hex
 
 W = 2  # the generator with w*w = w + 1
 
