@@ -69,7 +69,6 @@ class DFAO:
     initial: int
     transitions: tuple[tuple[int, ...], ...]
     outputs: tuple[UnitValue, ...]
-    lsd_first: bool = True
 
     @property
     def num_states(self) -> int:

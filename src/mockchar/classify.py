@@ -9,7 +9,7 @@ automaticity from samples is heuristic, and the verdicts say so.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from math import gcd
 from typing import Optional
 
@@ -32,23 +32,40 @@ from .multiplicative import (
 MIN_FITTED_LENGTH = 5
 
 
+def _bound(default: int, flag: str):
+    return field(default=default, metadata={"flag": flag})
+
+
 @dataclass(frozen=True)
 class ClassifyParams:
-    """Bounds for the classification sub-checks; all positive."""
+    """Bounds for the classification sub-checks; all positive.
 
-    multiplicativity_bound: int = 10_000
-    zero_prime_bound: int = 1_000
-    zero_check_bound: int = 10_000
-    max_preperiod: int = 500
-    max_period: int = 2_000
-    kernel_window: int = automata.DEFAULT_WINDOW
-    kernel_max_depth: int = automata.DEFAULT_MAX_DEPTH
-    kernel_max_size: int = automata.DEFAULT_MAX_SIZE
+    The one place the bounds are written: each field name is also the
+    bound's config-file key, and its "flag" metadata its command-line flag.
+    """
+
+    multiplicativity_bound: int = _bound(10_000, "--mult-bound")
+    zero_prime_bound: int = _bound(1_000, "--zero-prime-bound")
+    zero_check_bound: int = _bound(10_000, "--zero-check-bound")
+    max_preperiod: int = _bound(500, "--max-preperiod")
+    max_period: int = _bound(2_000, "--max-period")
+    kernel_window: int = _bound(automata.DEFAULT_WINDOW, "--kernel-window")
+    kernel_max_depth: int = _bound(automata.DEFAULT_MAX_DEPTH, "--kernel-depth")
+    kernel_max_size: int = _bound(automata.DEFAULT_MAX_SIZE, "--kernel-max-size")
 
     def __post_init__(self):
         for name, value in asdict(self).items():
             if value < 1:
                 raise ValueError(f"{name} must be positive, got {value}")
+
+    @property
+    def kernel_bounds(self) -> dict[str, int]:
+        """The kernel bounds as keyword arguments of automata.compute_kernel."""
+        return {
+            "max_depth": self.kernel_max_depth,
+            "window": self.kernel_window,
+            "max_size": self.kernel_max_size,
+        }
 
     @property
     def prefix_length(self) -> int:
@@ -281,13 +298,7 @@ def classify(
             )
         return CharacterVerdict(chi, tau, verdict.preperiod)
 
-    kernel = automata.compute_kernel(
-        f,
-        base,
-        max_depth=params.kernel_max_depth,
-        window=params.kernel_window,
-        max_size=params.kernel_max_size,
-    )
+    kernel = automata.compute_kernel(f, base, **params.kernel_bounds)
     if isinstance(kernel, KernelOverflow):
         return InconclusiveVerdict(
             f"kernel did not close ({kernel.reason}) at depth {kernel.depth_reached}",

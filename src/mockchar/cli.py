@@ -14,12 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
 from . import analysis, automata, bfile, gf4, multiplicative
-from .classify import classify as run_classification
+from .classify import ClassifyParams, classify as run_classification
 from .config import CONFIG_ENV_VAR, RunConfig, load_config
 from .kronecker import kronecker
 from .multiplicative import (
@@ -40,6 +40,13 @@ class CliError(Exception):
         self.code = code
 
 
+def _parse_number(text: str, kind: type = int, noun: str = "integer"):
+    try:
+        return kind(text)
+    except ValueError:
+        raise CliError(f"bad {noun} {text!r}", 2) from None
+
+
 def _parse_range(text: str) -> list[int]:
     if ".." in text:
         lo, _, hi = text.partition("..")
@@ -50,10 +57,7 @@ def _parse_range(text: str) -> list[int]:
         if hi_i < lo_i:
             raise CliError(f"empty range {text!r}", 2)
         return list(range(lo_i, hi_i + 1))
-    try:
-        return [int(text)]
-    except ValueError:
-        raise CliError(f"bad integer {text!r}", 2) from None
+    return [_parse_number(text)]
 
 
 def _source_function(args) -> tuple[ArithmeticFunction, str, int | None]:
@@ -88,9 +92,9 @@ def _function_spec(spec: str) -> ArithmeticFunction:
         return PAPERFOLDING
     kind, _, arg = spec.partition(":")
     if kind == "kron":
-        return kronecker_function(int(arg))
+        return kronecker_function(_parse_number(arg))
     if kind == "char":
-        return kronecker_character(int(arg)).as_function()
+        return kronecker_character(_parse_number(arg)).as_function()
     raise CliError(f"bad function spec {spec!r}; use kron:A, char:D, or paperfold", 2)
 
 
@@ -135,7 +139,7 @@ def cmd_seq(args, cfg: RunConfig) -> int:
 
 def cmd_classify(args, cfg: RunConfig) -> int:
     f, label, limit = _source_function(args)
-    params = cfg.classify_params()
+    params = cfg.params
     if limit is not None:
         params = params.fitted_to_length(limit)
     verdict = run_classification(f, base=args.base, params=params)
@@ -158,13 +162,7 @@ def cmd_classify(args, cfg: RunConfig) -> int:
 
 def cmd_fsm(args, cfg: RunConfig) -> int:
     f, label, _ = _source_function(args)
-    kernel = automata.compute_kernel(
-        f,
-        args.base,
-        max_depth=cfg.kernel_max_depth,
-        window=cfg.kernel_window,
-        max_size=cfg.kernel_max_size,
-    )
+    kernel = automata.compute_kernel(f, args.base, **cfg.params.kernel_bounds)
     if isinstance(kernel, automata.KernelOverflow):
         raise CliError(
             f"kernel for {label} did not close at base {args.base}: "
@@ -172,7 +170,7 @@ def cmd_fsm(args, cfg: RunConfig) -> int:
             f"(depth {kernel.depth_reached}); not automatic at these bounds"
         )
     dfao = automata.kernel_to_dfao(kernel)
-    for n in range(min(10_000, cfg.kernel_window * 4)):
+    for n in range(min(10_000, cfg.params.kernel_window * 4)):
         if automata.dfao_eval(dfao, n) != f(n):
             raise CliError(f"automaton replay failed at n = {n}; widen --kernel-window")
     dot = automata.to_dot(dfao)
@@ -207,7 +205,7 @@ def cmd_compare(args, cfg: RunConfig) -> int:
 def cmd_distance(args, cfg: RunConfig) -> int:
     f = _function_spec(args.f)
     g = _function_spec(args.g)
-    ys = [float(y) for y in args.y.split(",")]
+    ys = [_parse_number(y, float, "number") for y in args.y.split(",")]
     rows = []
     for y in ys:
         r = analysis.pretentious_distance_sq(f, g, y)
@@ -221,8 +219,8 @@ def cmd_distance(args, cfg: RunConfig) -> int:
 
 
 def cmd_lseries(args, cfg: RunConfig) -> int:
-    s = complex(args.s)
-    ns = [int(x) for x in str(args.N).split(",")]
+    s = _parse_number(args.s, complex, "complex number")
+    ns = [_parse_number(x) for x in args.N.split(",")]
     if args.identity:
         if len(ns) != 1:
             raise CliError("--identity takes a single N", 2)
@@ -262,7 +260,7 @@ def cmd_lseries(args, cfg: RunConfig) -> int:
 def cmd_product(args, cfg: RunConfig) -> int:
     if not args.paperfold and args.a is None:
         raise CliError("product needs --paperfold or --a", 2)
-    ns = [int(x) for x in args.N.split(",")]
+    ns = [_parse_number(x) for x in args.N.split(",")]
     rows = []
     for n in ns:
         if args.paperfold:
@@ -315,24 +313,28 @@ def cmd_f4check(args, cfg: RunConfig) -> int:
 # ----------------------------------------------------------------- parser
 
 
+_BOUNDS = fields(ClassifyParams)
+
+# the bound flags each subcommand reads; the others take none
+_BOUND_FLAGS = {
+    "classify": _BOUNDS,
+    "fsm": tuple(f for f in _BOUNDS if f.name.startswith("kernel_")),
+}
+
+
 def _add_source_flags(p: argparse.ArgumentParser, with_file: bool = True) -> None:
-    p.add_argument("--kron", type=int, metavar="A", help="use the sequence n -> (A|n)")
-    p.add_argument("--paperfold", action="store_true", help="use the paperfolding sequence")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--kron", type=int, metavar="A", help="use the sequence n -> (A|n)")
+    g.add_argument("--paperfold", action="store_true", help="use the paperfolding sequence")
     if with_file:
-        p.add_argument("--file", metavar="PATH", help="read an 'n value' sequence file")
+        g.add_argument("--file", metavar="PATH", help="read an 'n value' sequence file")
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
+def _add_config_flags(p: argparse.ArgumentParser, bounds) -> None:
     p.add_argument("--config", metavar="PATH", help=f"config file (else ${CONFIG_ENV_VAR})")
     p.add_argument("--format", choices=("text", "csv", "json"), help="output format")
-    p.add_argument("--mult-bound", type=int, dest="multiplicativity_bound")
-    p.add_argument("--zero-prime-bound", type=int, dest="zero_prime_bound")
-    p.add_argument("--zero-check-bound", type=int, dest="zero_check_bound")
-    p.add_argument("--max-preperiod", type=int, dest="max_preperiod")
-    p.add_argument("--max-period", type=int, dest="max_period")
-    p.add_argument("--kernel-window", type=int, dest="kernel_window")
-    p.add_argument("--kernel-depth", type=int, dest="kernel_max_depth")
-    p.add_argument("--kernel-max-size", type=int, dest="kernel_max_size")
+    for f in bounds:
+        p.add_argument(f.metadata["flag"], type=int, dest=f.name)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,33 +396,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-embeddings", action="store_true")
     p.set_defaults(handler=cmd_f4check)
 
-    for sp in sub.choices.values():
-        _add_config_flags(sp)
+    for name, sp in sub.choices.items():
+        _add_config_flags(sp, _BOUND_FLAGS.get(name, ()))
     return parser
 
 
-_CONFIG_KEYS = (
-    "multiplicativity_bound",
-    "zero_prime_bound",
-    "zero_check_bound",
-    "max_preperiod",
-    "max_period",
-    "kernel_window",
-    "kernel_max_depth",
-    "kernel_max_size",
-)
-
-
 def _resolve_config(args) -> RunConfig:
-    cfg = load_config(getattr(args, "config", None))
-    overrides = {}
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "format", None):
-        overrides["format"] = args.format
-    return replace(cfg, **overrides) if overrides else cfg
+    """Defaults, then the config file, then the flags."""
+    cfg = load_config(args.config)
+    given = vars(args)
+    bounds = {f.name: given[f.name] for f in _BOUNDS if given.get(f.name) is not None}
+    return replace(cfg, format=args.format or cfg.format, params=replace(cfg.params, **bounds))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,61 +1,42 @@
-"""Run configuration: classification bounds, output format, precision.
+"""Run configuration: output format, precision and classification bounds.
 
-Defaults come from the module-level constants; a key=value config file can
-override them (path given by --config or the MOCKCHAR_CONFIG environment
-variable), and command-line flags override the file.
+The bounds are a `ClassifyParams`, which holds their names, defaults and
+validation; the config-file keys are its field names.  A key=value config
+file (path given by --config or the MOCKCHAR_CONFIG environment variable)
+overrides the defaults, and command-line flags override the file.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .classify import ClassifyParams
+from .classify import DEFAULT_PARAMS, ClassifyParams
 
 CONFIG_ENV_VAR = "MOCKCHAR_CONFIG"
 
 _FORMATS = ("text", "csv", "json")
+_BOUND_KEYS = frozenset(f.name for f in fields(ClassifyParams))
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    multiplicativity_bound: int = 10_000
-    zero_prime_bound: int = 1_000
-    zero_check_bound: int = 10_000
-    max_preperiod: int = 500
-    max_period: int = 2_000
-    kernel_window: int = 512
-    kernel_max_depth: int = 12
-    kernel_max_size: int = 4_096
     format: str = "text"
     digits: int = 12
+    params: ClassifyParams = DEFAULT_PARAMS
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type == "int" and getattr(self, f.name) < 1:
-                raise ValueError(f"{f.name} must be positive")
+        if self.digits < 1:
+            raise ValueError("digits must be positive")
         if self.format not in _FORMATS:
             raise ValueError(f"format must be one of {_FORMATS}")
 
-    def classify_params(self) -> ClassifyParams:
-        return ClassifyParams(
-            multiplicativity_bound=self.multiplicativity_bound,
-            zero_prime_bound=self.zero_prime_bound,
-            zero_check_bound=self.zero_check_bound,
-            max_preperiod=self.max_preperiod,
-            max_period=self.max_period,
-            kernel_window=self.kernel_window,
-            kernel_max_depth=self.kernel_max_depth,
-            kernel_max_size=self.kernel_max_size,
-        )
 
-
-def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
+def parse_config_text(text: str) -> RunConfig:
     """key=value lines; '#' comments and blanks ignored; unknown keys rejected."""
-    cfg = base or RunConfig()
-    known = {f.name: f for f in fields(RunConfig)}
-    updates: dict[str, object] = {}
+    settings: dict[str, object] = {}
+    bounds: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -64,10 +45,15 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
             raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in known:
+        if key in _BOUND_KEYS:
+            bounds[key] = int(value)
+        elif key == "digits":
+            settings[key] = int(value)
+        elif key == "format":
+            settings[key] = value
+        else:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        updates[key] = value if known[key].type == "str" else int(value)
-    return replace(cfg, **updates)
+    return RunConfig(params=ClassifyParams(**bounds), **settings)
 
 
 def load_config(path: str | os.PathLike | None = None) -> RunConfig:

@@ -241,10 +241,6 @@ class DirichletCharacter:
     def as_function(self) -> ArithmeticFunction:
         return ArithmeticFunction(self.__call__, f"chi mod {self.modulus}")
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.modulus == 1
-
 
 def character_from_table(q: int, table: Sequence[UnitValue]) -> DirichletCharacter:
     """Validate a candidate value table and return the character it defines.

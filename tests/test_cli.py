@@ -1,9 +1,11 @@
 import json
+from dataclasses import asdict, fields, replace
 
 import pytest
 
 from mockchar.bfile import load_fixture, serialize_bfile
-from mockchar.cli import main
+from mockchar.classify import DEFAULT_PARAMS, ClassifyParams
+from mockchar.cli import _resolve_config, build_parser, main
 
 
 def run(capsys, *argv):
@@ -206,6 +208,16 @@ EDGE_CASES = [
     (["lseries", "--a", "3", "--identity", "--N", "1"], 0,
      "residual 2.000e-01 tail bound 1.800e+00 (ok)\n", ""),
     (["product", "--a", "5"], 1, "", "mockchar: a = 5 is not 3 mod 4\n"),
+    # malformed numbers are parse errors
+    (["lseries", "--a", "3", "--N", "10,abc"], 2, "", "mockchar: bad integer 'abc'\n"),
+    (["lseries", "--a", "3", "--s", "foo"], 2, "", "mockchar: bad complex number 'foo'\n"),
+    (["product", "--paperfold", "--N", "x"], 2, "", "mockchar: bad integer 'x'\n"),
+    (["distance", "--f", "kron:3", "--g", "char:-4", "--y", "abc"], 2, "",
+     "mockchar: bad number 'abc'\n"),
+    (["distance", "--f", "kron:x", "--g", "char:-4", "--y", "10"], 2, "",
+     "mockchar: bad integer 'x'\n"),
+    (["distance", "--f", "kron:3", "--g", "char:", "--y", "10"], 2, "",
+     "mockchar: bad integer ''\n"),
 ]
 
 
@@ -229,3 +241,106 @@ class TestConfig:
         cfg.write_text("no_such_key = 3\n")
         code, _, err = run(capsys, "classify", "--kron", "2", "--config", str(cfg))
         assert code == 1 and "unknown key" in err
+
+
+# the smallest argv each subcommand accepts
+MINIMAL_ARGV = {
+    "kron": ["kron", "3", "5"],
+    "seq": ["seq", "--paperfold", "5"],
+    "classify": ["classify", "--paperfold"],
+    "fsm": ["fsm", "--paperfold"],
+    "compare": ["compare", "--paperfold", "ref.txt"],
+    "distance": ["distance", "--f", "kron:3", "--g", "char:-4", "--y", "10"],
+    "lseries": ["lseries", "--a", "3", "--N", "10"],
+    "product": ["product", "--paperfold", "--N", "10"],
+    "f4check": ["f4check", "--a", "3"],
+}
+KERNEL_BOUNDS = [f for f in fields(ClassifyParams) if f.name.startswith("kernel_")]
+
+
+def resolve(argv):
+    return _resolve_config(build_parser().parse_args(argv))
+
+
+def exit_code(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
+class TestBoundFlags:
+    @pytest.mark.parametrize("bound", fields(ClassifyParams), ids=lambda f: f.name)
+    def test_bound_reaches_classification(self, capsys, tmp_path, bound):
+        # halved bounds still classify (3|n) as a mock character
+        flag_value, file_value = bound.default // 2, bound.default // 2 + 1
+        conf = tmp_path / "mockchar.conf"
+        conf.write_text(f"{bound.name} = {file_value}\n")
+        base = ["classify", "--kron", "3", "--format", "json"]
+        by_flag = [bound.metadata["flag"], str(flag_value)]
+        by_file = ["--config", str(conf)]
+        for extra, value in ((by_flag, flag_value), (by_file, file_value)):
+            assert resolve(base + extra).params == replace(DEFAULT_PARAMS, **{bound.name: value})
+        # both: the flag wins over the file, up to the verdict
+        expected = replace(DEFAULT_PARAMS, **{bound.name: flag_value})
+        assert resolve(base + by_file + by_flag).params == expected
+        code, out, _ = run(capsys, *base, *by_file, *by_flag)
+        payload = json.loads(out)
+        assert code == 0 and payload["verdict"] == "mock-character"
+        assert payload["verified_at"] == asdict(expected)
+
+    @pytest.mark.parametrize("bound", KERNEL_BOUNDS, ids=lambda f: f.name)
+    def test_kernel_bounds_reach_fsm(self, capsys, bound):
+        argv = ["fsm", "--paperfold", bound.metadata["flag"], str(bound.default // 2)]
+        assert getattr(resolve(argv).params, bound.name) == bound.default // 2
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.count("shape=circle") == 4
+
+    def test_every_subcommand_takes_format_and_config(self, tmp_path):
+        usage = build_parser().format_usage()
+        assert "{" + ",".join(MINIMAL_ARGV) + "}" in usage
+        conf = tmp_path / "mockchar.conf"
+        conf.write_text("digits = 6\n")
+        for argv in MINIMAL_ARGV.values():
+            cfg = resolve(argv + ["--format", "json", "--config", str(conf)])
+            assert cfg.format == "json" and cfg.digits == 6
+
+    def test_bound_flags_only_where_read(self, capsys):
+        # e.g. `kron 3 5 --max-period 5` and `lseries --a 3 --N 10 --kernel-window 5`
+        takes = {"classify": fields(ClassifyParams), "fsm": KERNEL_BOUNDS}
+        parser = build_parser()
+        for name, argv in MINIMAL_ARGV.items():
+            for bound in fields(ClassifyParams):
+                line = argv + [bound.metadata["flag"], "5"]
+                if bound in takes.get(name, ()):
+                    parser.parse_args(line)
+                else:
+                    assert exit_code(line) == 2, line
+                    err = capsys.readouterr().err
+                    assert f"unrecognized arguments: {bound.metadata['flag']} 5" in err
+
+    @pytest.mark.parametrize("bound", fields(ClassifyParams), ids=lambda f: f.name)
+    def test_non_positive_bound_exit_1(self, capsys, tmp_path, bound):
+        conf = tmp_path / "mockchar.conf"
+        conf.write_text(f"{bound.name} = -3\n")
+        for argv, value in (
+            (["classify", "--paperfold", bound.metadata["flag"], "0"], 0),
+            (["classify", "--paperfold", "--config", str(conf)], -3),
+        ):
+            assert run(capsys, *argv) == (
+                1, "", f"mockchar: {bound.name} must be positive, got {value}\n"
+            )
+
+
+@pytest.mark.parametrize("argv", [
+    ["seq", "--kron", "3", "--paperfold", "0..3"],
+    ["seq", "--paperfold", "--file", "f.txt", "0..3"],
+    ["classify", "--kron", "3", "--paperfold"],
+    ["classify", "--kron", "3", "--file", "f.txt"],
+    ["fsm", "--paperfold", "--kron", "3"],
+    ["fsm", "--file", "f.txt", "--kron", "3"],
+    ["compare", "--kron", "3", "--paperfold", "ref.txt"],
+], ids=" ".join)
+def test_source_flags_exclusive(capsys, argv):
+    assert exit_code(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "not allowed with argument" in out.err

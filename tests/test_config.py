@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from mockchar.config import RunConfig, load_config, parse_config_text
@@ -5,8 +7,7 @@ from mockchar.config import RunConfig, load_config, parse_config_text
 
 class TestRunConfig:
     def test_defaults_mirror_classify_params(self):
-        cfg = RunConfig()
-        params = cfg.classify_params()
+        params = RunConfig().params
         assert params.multiplicativity_bound == 10_000
         assert params.max_preperiod == 500 and params.max_period == 2_000
         assert params.kernel_window == 512
@@ -14,9 +15,9 @@ class TestRunConfig:
 
     def test_positive_bounds_enforced(self):
         with pytest.raises(ValueError):
-            RunConfig(max_period=0)
+            replace(RunConfig().params, max_period=0)
         with pytest.raises(ValueError):
-            RunConfig(kernel_window=-5)
+            replace(RunConfig().params, kernel_window=-5)
 
     def test_format_validated(self):
         with pytest.raises(ValueError):
@@ -26,8 +27,8 @@ class TestRunConfig:
 class TestParse:
     def test_key_value_with_comments(self):
         cfg = parse_config_text("max_period = 128  # tighter\n\nformat=json\n")
-        assert cfg.max_period == 128 and cfg.format == "json"
-        assert cfg.kernel_window == 512  # untouched default
+        assert cfg.params.max_period == 128 and cfg.format == "json"
+        assert cfg.params.kernel_window == 512  # untouched default
 
     def test_unknown_key(self):
         with pytest.raises(ValueError):
